@@ -68,23 +68,9 @@ BENCHMARK(BM_GraphBuild)->Unit(benchmark::kMillisecond);
 
 // Threaded variants: Arg is the executor count. On a single-core host
 // these collapse to roughly the serial time plus scheduling overhead;
-// on multicore hardware graph construction and refinement scale with
-// the thread count while producing byte-identical results.
-void BM_GraphBuildThreads(benchmark::State& state) {
-  const auto& s = shared_scenario();
-  const auto aliases = eval::midar_aliases(s);
-  const int threads = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    auto g = graph::Graph::build(s.corpus, aliases, s.ip2as, s.rels, threads);
-    benchmark::DoNotOptimize(g.irs().size());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(s.corpus.size()));
-}
-BENCHMARK(BM_GraphBuildThreads)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
+// on multicore hardware ingest and refinement scale with the thread
+// count while producing byte-identical results. (Graph construction is
+// serial, so BM_GraphBuild covers it.)
 void BM_IngestParseThreads(benchmark::State& state) {
   const auto& s = shared_scenario();
   std::ostringstream json;

@@ -31,8 +31,17 @@ bool in_range(int id, std::size_t size) noexcept {
   return id >= 0 && static_cast<std::size_t>(id) < size;
 }
 
+/// Pairwise below this size; a sorted copy above it, so a core
+/// interface's thousand-AS destination set costs k log k, not k^2.
+constexpr std::size_t kSortAbove = 16;
+
 template <typename T>
 bool is_deduped(const std::vector<T>& v) {
+  if (v.size() > kSortAbove) {
+    std::vector<T> sorted = v;
+    std::sort(sorted.begin(), sorted.end());
+    return std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end();
+  }
   for (std::size_t i = 0; i < v.size(); ++i)
     for (std::size_t j = i + 1; j < v.size(); ++j)
       if (v[i] == v[j]) return false;
@@ -142,6 +151,8 @@ std::vector<Violation> audit_graph(const Graph& g, int threads) {
                  "IR " + std::to_string(ir.id) + " has duplicate destination ASes");
         std::vector<Asn> want_origins;
         std::size_t announced_members = 0;
+        std::vector<Asn> ir_dests = ir.dest_asns;
+        std::sort(ir_dests.begin(), ir_dests.end());
         for (int fid : ir.ifaces) {
           if (!in_range(fid, ifaces.size())) continue;
           const Interface& f = ifaces[static_cast<std::size_t>(fid)];
@@ -150,7 +161,7 @@ std::vector<Violation> audit_graph(const Graph& g, int threads) {
             ++announced_members;
           }
           for (Asn d : f.dest_asns)
-            if (!graph::set_contains(ir.dest_asns, d))
+            if (!std::binary_search(ir_dests.begin(), ir_dests.end(), d))
               report(vs, "ir.dest-set-consistency",
                      "IR " + std::to_string(ir.id) + " is missing destination AS " +
                          std::to_string(d) + " of interface " + f.addr.to_string());

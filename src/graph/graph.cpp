@@ -1,8 +1,7 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
-
-#include "parallel/thread_pool.hpp"
+#include <cstdint>
 
 namespace graph {
 namespace {
@@ -18,39 +17,6 @@ LinkLabel classify(const Interface& i, const Interface& j, int hop_distance,
   return LinkLabel::multihop;
 }
 
-constexpr std::uint8_t kSeenNonEcho = 1;
-constexpr std::uint8_t kSeenMidPath = 2;
-
-/// Pass A partial state for one corpus shard: the distinct non-private
-/// addresses in shard-local first-seen order, each with its origin
-/// lookup and observation flags.
-struct ShardIfaces {
-  std::unordered_map<netbase::IPAddr, int> index;  ///< addr -> local id
-  std::vector<netbase::IPAddr> addrs;              ///< local first-seen order
-  std::vector<bgp::Origin> origins;
-  std::vector<std::uint8_t> flags;
-};
-
-/// Pass B partial state for one corpus shard: links keyed by global
-/// (ir, iface) in shard-local first-seen order, plus the per-interface
-/// destination AS insertions, all with serial set_insert semantics.
-struct ShardLinks {
-  struct PLink {
-    int ir = -1;
-    int iface = -1;
-    LinkLabel label = LinkLabel::multihop;
-    std::vector<netbase::Asn> origin_set;
-    std::vector<netbase::Asn> dest_asns;
-    std::vector<int> prev_ifaces;  ///< deduped
-  };
-  std::unordered_map<std::uint64_t, int> index;  ///< link key -> local id
-  std::vector<PLink> links;                      ///< local first-seen order
-  std::unordered_map<int, std::vector<netbase::Asn>> iface_dest;
-  /// Memoized destination-origin lookups (§4.4): one trie walk per
-  /// distinct destination per shard instead of one per traceroute.
-  std::unordered_map<netbase::IPAddr, netbase::Asn> dst_cache;
-};
-
 inline std::uint64_t link_key(int ir, int iface) noexcept {
   return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(ir)) << 32) |
          static_cast<std::uint32_t>(iface);
@@ -60,177 +26,214 @@ inline std::uint64_t link_key(int ir, int iface) noexcept {
 
 Graph Graph::build(const std::vector<tracedata::Traceroute>& corpus,
                    const tracedata::AliasSets& aliases, const bgp::Ip2AS& ip2as,
-                   const asrel::RelStore& rels, int threads) {
+                   const asrel::RelStore& rels, int /*threads*/) {
   Graph g;
-  const std::size_t n_shards = parallel::shard_count(corpus.size(), threads);
+  const std::size_t n_traces = corpus.size();
 
-  // ---- Pass A: interfaces (sharded) ------------------------------------
-  // Each shard interns the addresses of a contiguous corpus slice.
-  // Merging the shards' first-seen sequences in shard order reproduces
-  // the serial interning order exactly, so interface ids are identical
-  // for every thread count.
-  std::vector<ShardIfaces> iface_shards(n_shards);
-  parallel::parallel_shards(
-      corpus.size(), static_cast<int>(n_shards),
-      [&](std::size_t s, std::size_t lo, std::size_t hi) {
-        ShardIfaces& sh = iface_shards[s];
-        for (std::size_t ti = lo; ti < hi; ++ti) {
-          const auto& t = corpus[ti];
-          for (std::size_t k = 0; k < t.hops.size(); ++k) {
-            const auto& h = t.hops[k];
-            if (h.addr.is_private()) continue;
-            auto [it, inserted] =
-                sh.index.emplace(h.addr, static_cast<int>(sh.addrs.size()));
-            if (inserted) {
-              sh.addrs.push_back(h.addr);
-              sh.origins.push_back(ip2as.lookup(h.addr));
-              sh.flags.push_back(0);
-            }
-            std::uint8_t& fl = sh.flags[static_cast<std::size_t>(it->second)];
-            if (h.reply != tracedata::ReplyType::echo_reply) fl |= kSeenNonEcho;
-            if (k + 1 < t.hops.size()) fl |= kSeenMidPath;
+  // Destinations are interned as dense groups, one per announced
+  // destination AS; unannounced destinations feed no AS set.
+  std::vector<netbase::Asn> group_asn;       // group -> destination AS
+  std::vector<int> trace_group(n_traces);    // trace -> group, or -1
+  // The interfaces (ids >= 0) and links (~id) whose destination sets
+  // each trace feeds, as one flat array with per-trace offsets.
+  std::vector<int> touched;
+  std::vector<std::size_t> touched_off(n_traces + 1);
+
+  // ---- One corpus-order pass: interfaces, IRs, links ---------------------
+  // Each non-private hop is hashed at most once. Interfaces, IRs and
+  // links are numbered in order of first sight; an interface joins its
+  // alias group's IR (or a singleton) when it is first seen, which is the
+  // same numbering as assigning IRs over the finished interface list.
+  {
+    std::unordered_map<std::size_t, int> alias_ir;        // alias set -> IR
+    std::unordered_map<std::uint64_t, int> link_index;    // (ir, iface) -> link
+    std::unordered_map<netbase::IPAddr, int> dst_group;   // destination -> group
+    std::unordered_map<netbase::Asn, int> asn_group;
+    // Per interface, the hop that last followed it: its address,
+    // interface and link (-1 when alias-internal). Traces from one VP
+    // share path prefixes, so about half the hops repeat their
+    // predecessor's last successor and skip both hash lookups.
+    struct Successor {
+      netbase::IPAddr addr;
+      int iface = -1;
+      int link = -1;
+    };
+    std::vector<Successor> successor;
+    auto new_ir = [&g] {
+      const int id = static_cast<int>(g.irs_.size());
+      g.irs_.emplace_back().id = id;
+      return id;
+    };
+    auto intern = [&](const netbase::IPAddr& addr) {
+      auto [it, inserted] =
+          g.addr_index_.try_emplace(addr, static_cast<int>(g.ifaces_.size()));
+      if (inserted) {
+        Interface& f = g.ifaces_.emplace_back();
+        f.id = it->second;
+        f.addr = addr;
+        f.origin = ip2as.lookup(addr);
+        const std::size_t set = aliases.find(addr);
+        if (set == tracedata::AliasSets::npos) {
+          f.ir = new_ir();
+        } else {
+          auto [ait, fresh] = alias_ir.try_emplace(set, -1);
+          if (fresh) ait->second = new_ir();
+          f.ir = ait->second;
+        }
+        g.irs_[static_cast<std::size_t>(f.ir)].ifaces.push_back(f.id);
+        successor.emplace_back();
+      }
+      return it->second;
+    };
+
+    // The link for the transition from -> to, or -1 for an alias-internal
+    // transition (not a link); adds `from` to the link's previous
+    // interfaces, kept in first-seen order until the pass ends.
+    auto link_of = [&](int from, int to) {
+      const int ir = g.ifaces_[static_cast<std::size_t>(from)].ir;
+      if (ir == g.ifaces_[static_cast<std::size_t>(to)].ir) return -1;
+      auto [it, fresh] =
+          link_index.try_emplace(link_key(ir, to), static_cast<int>(g.links_.size()));
+      if (fresh) {
+        Link& nl = g.links_.emplace_back();
+        nl.id = it->second;
+        nl.ir = ir;
+        nl.iface = to;
+        g.irs_[static_cast<std::size_t>(ir)].out_links.push_back(nl.id);
+        g.ifaces_[static_cast<std::size_t>(to)].in_links.push_back(nl.id);
+      }
+      std::vector<int>& prevs =
+          g.links_[static_cast<std::size_t>(it->second)].prev_ifaces;
+      if (std::find(prevs.begin(), prevs.end(), from) == prevs.end())
+        prevs.push_back(from);
+      return it->second;
+    };
+
+    for (std::size_t ti = 0; ti < n_traces; ++ti) {
+      const auto& t = corpus[ti];
+      auto [dit, fresh_dst] = dst_group.try_emplace(t.dst, -1);
+      if (fresh_dst) {
+        const bgp::Origin o = ip2as.lookup(t.dst);
+        if (o.announced()) {
+          auto [ait, fresh_asn] =
+              asn_group.try_emplace(o.asn, static_cast<int>(group_asn.size()));
+          if (fresh_asn) group_asn.push_back(o.asn);
+          dit->second = ait->second;
+        }
+      }
+      const int group = dit->second;
+      trace_group[ti] = group;
+      touched_off[ti] = touched.size();
+
+      int prev = -1;  // previous non-private hop's interface
+      int prev_ttl = 0;
+      bool last_echo = false;
+      for (std::size_t k = 0; k < t.hops.size(); ++k) {
+        const tracedata::Hop& h = t.hops[k];
+        if (h.addr.is_private()) continue;
+        int cur = -1, lid = -1;
+        if (prev >= 0 && successor[static_cast<std::size_t>(prev)].iface >= 0 &&
+            successor[static_cast<std::size_t>(prev)].addr == h.addr) {
+          cur = successor[static_cast<std::size_t>(prev)].iface;
+          lid = successor[static_cast<std::size_t>(prev)].link;
+        } else {
+          cur = intern(h.addr);
+          if (prev >= 0) {
+            lid = link_of(prev, cur);
+            successor[static_cast<std::size_t>(prev)] = Successor{h.addr, cur, lid};
           }
         }
-      });
-  for (const ShardIfaces& sh : iface_shards) {
-    for (std::size_t li = 0; li < sh.addrs.size(); ++li) {
-      auto [it, inserted] =
-          g.addr_index_.emplace(sh.addrs[li], static_cast<int>(g.ifaces_.size()));
-      if (inserted) {
-        Interface f;
-        f.id = it->second;
-        f.addr = sh.addrs[li];
-        f.origin = sh.origins[li];
-        g.ifaces_.push_back(std::move(f));
+        Interface& fj = g.ifaces_[static_cast<std::size_t>(cur)];
+        last_echo = h.reply == tracedata::ReplyType::echo_reply;
+        if (!last_echo) fj.seen_non_echo = true;
+        if (k + 1 < t.hops.size()) fj.seen_mid_path = true;
+        if (lid >= 0) {
+          Link& l = g.links_[static_cast<std::size_t>(lid)];
+          const LinkLabel label =
+              classify(g.ifaces_[static_cast<std::size_t>(prev)], fj,
+                       h.probe_ttl - prev_ttl, h.reply);
+          if (static_cast<std::uint8_t>(label) < static_cast<std::uint8_t>(l.label))
+            l.label = label;
+          if (group >= 0) touched.push_back(~lid);
+        }
+        if (group >= 0) touched.push_back(cur);
+        prev = cur;
+        prev_ttl = h.probe_ttl;
       }
-      Interface& f = g.ifaces_[static_cast<std::size_t>(it->second)];
-      if (sh.flags[li] & kSeenNonEcho) f.seen_non_echo = true;
-      if (sh.flags[li] & kSeenMidPath) f.seen_mid_path = true;
+      // A trace ending in an Echo Reply gives its final interface no
+      // destination (§4.4): that address is the probed destination. Its
+      // interface was the last node pushed.
+      if (group >= 0 && last_echo) touched.pop_back();
     }
+    touched_off[n_traces] = touched.size();
   }
 
-  // ---- IR assignment: alias groups, then singletons --------------------
-  std::unordered_map<std::size_t, int> alias_ir;  // alias set id -> IR id
-  auto ir_for = [&](Interface& f) {
-    if (f.ir >= 0) return f.ir;
-    const std::size_t set = aliases.find(f.addr);
-    if (set != tracedata::AliasSets::npos) {
-      auto [it, inserted] = alias_ir.emplace(set, static_cast<int>(g.irs_.size()));
-      if (inserted) {
-        IR ir;
-        ir.id = it->second;
-        g.irs_.push_back(std::move(ir));
-      }
-      f.ir = it->second;
-    } else {
-      f.ir = static_cast<int>(g.irs_.size());
-      IR ir;
-      ir.id = f.ir;
-      g.irs_.push_back(std::move(ir));
+  // L(IRi, j) (§4.3): the announced origins of the link's previous
+  // interfaces, in first-seen order, which is the order per-traversal
+  // insertion gives.
+  for (Link& l : g.links_) {
+    for (const int fid : l.prev_ifaces) {
+      const bgp::Origin& o = g.ifaces_[static_cast<std::size_t>(fid)].origin;
+      if (o.announced()) set_insert(l.origin_set, o.asn);
     }
-    g.irs_[static_cast<std::size_t>(f.ir)].ifaces.push_back(f.id);
-    return f.ir;
-  };
-  for (auto& f : g.ifaces_) ir_for(f);
+    std::sort(l.prev_ifaces.begin(), l.prev_ifaces.end());
+  }
 
-  // ---- Pass B: links, origin AS sets, destination AS sets (sharded) ----
-  // Shards read the now-frozen interface table and accumulate partial
-  // link state; the merge walks shards in order with serial set_insert
-  // semantics, so link ids and every AS-set order match the serial
-  // corpus-order build exactly.
-  std::vector<ShardLinks> link_shards(n_shards);
-  parallel::parallel_shards(
-      corpus.size(), static_cast<int>(n_shards),
-      [&](std::size_t s, std::size_t lo, std::size_t hi_end) {
-        ShardLinks& sh = link_shards[s];
-        // Hoisted per-traceroute scratch: hop indices of responsive
-        // non-private hops, and their interned interface ids (one
-        // addr_index_ hash per hop, not one per use).
-        std::vector<std::size_t> idx;
-        std::vector<int> ids;
-        for (std::size_t ti = lo; ti < hi_end; ++ti) {
-          const auto& t = corpus[ti];
-          netbase::Asn dest_asn;
-          if (auto dit = sh.dst_cache.find(t.dst); dit != sh.dst_cache.end()) {
-            dest_asn = dit->second;
-          } else {
-            const bgp::Origin dst_origin = ip2as.lookup(t.dst);
-            dest_asn = dst_origin.announced() ? dst_origin.asn : netbase::kNoAs;
-            sh.dst_cache.emplace(t.dst, dest_asn);
-          }
+  // ---- Destination AS sets (§4.4) in first-seen order ------------------
+  // Walking the traces grouped by destination, in corpus order within a
+  // group, the first visit of a node in a group is that (node, AS)
+  // pair's first sight; a per-node stamp of the last group catches it.
+  // Each node's first-sight trace indices, sorted, list its set in the
+  // order per-trace insertion would have produced.
+  const std::size_t n_groups = group_asn.size();
+  const std::size_t n_ifaces = g.ifaces_.size();
+  {
+    // Stable counting sort of trace indices by group.
+    std::vector<std::size_t> group_off(n_groups + 1, 0);
+    for (const int grp : trace_group)
+      if (grp >= 0) ++group_off[static_cast<std::size_t>(grp) + 1];
+    for (std::size_t i = 0; i < n_groups; ++i) group_off[i + 1] += group_off[i];
+    std::vector<std::uint32_t> by_group(group_off[n_groups]);
+    std::vector<std::size_t> next(group_off.begin(), group_off.end() - 1);
+    for (std::size_t ti = 0; ti < n_traces; ++ti)
+      if (trace_group[ti] >= 0)
+        by_group[next[static_cast<std::size_t>(trace_group[ti])]++] =
+            static_cast<std::uint32_t>(ti);
 
-          idx.clear();
-          ids.clear();
-          for (std::size_t k = 0; k < t.hops.size(); ++k)
-            if (!t.hops[k].addr.is_private()) {
-              idx.push_back(k);
-              ids.push_back(g.addr_index_.at(t.hops[k].addr));
-            }
-          if (idx.empty()) continue;
-
-          // Interface destination AS sets (§4.4); skip the final hop
-          // when the traceroute ended in an Echo Reply.
-          if (dest_asn != netbase::kNoAs) {
-            for (std::size_t n = 0; n < idx.size(); ++n) {
-              const auto& h = t.hops[idx[n]];
-              if (n + 1 == idx.size() && h.reply == tracedata::ReplyType::echo_reply)
-                continue;
-              set_insert(sh.iface_dest[ids[n]], dest_asn);
-            }
-          }
-
-          for (std::size_t n = 0; n + 1 < idx.size(); ++n) {
-            const auto& hj = t.hops[idx[n + 1]];
-            const Interface& fi = g.ifaces_[static_cast<std::size_t>(ids[n])];
-            const Interface& fj = g.ifaces_[static_cast<std::size_t>(ids[n + 1])];
-            if (fi.ir == fj.ir) continue;  // alias-internal transition: not a link
-
-            auto [it, inserted] = sh.index.emplace(link_key(fi.ir, fj.id),
-                                                   static_cast<int>(sh.links.size()));
-            if (inserted) {
-              ShardLinks::PLink pl;
-              pl.ir = fi.ir;
-              pl.iface = fj.id;
-              sh.links.push_back(std::move(pl));
-            }
-            ShardLinks::PLink& l = sh.links[static_cast<std::size_t>(it->second)];
-            const int dist = hj.probe_ttl - t.hops[idx[n]].probe_ttl;
-            const LinkLabel label = classify(fi, fj, dist, hj.reply);
-            if (static_cast<std::uint8_t>(label) < static_cast<std::uint8_t>(l.label))
-              l.label = label;
-            if (fi.origin.announced()) set_insert(l.origin_set, fi.origin.asn);
-            if (dest_asn != netbase::kNoAs) set_insert(l.dest_asns, dest_asn);
-            if (std::find(l.prev_ifaces.begin(), l.prev_ifaces.end(), fi.id) ==
-                l.prev_ifaces.end())
-              l.prev_ifaces.push_back(fi.id);
-          }
+    // Each node's first-sight traces, as one flat array of per-node
+    // slices: one walk counts them, a second fills them in.
+    const std::size_t n_nodes = n_ifaces + g.links_.size();
+    std::vector<int> stamp(n_nodes);
+    auto walk = [&](auto&& visit) {
+      std::fill(stamp.begin(), stamp.end(), -1);
+      for (const std::uint32_t ti : by_group) {
+        const int grp = trace_group[ti];
+        for (std::size_t p = touched_off[ti]; p < touched_off[ti + 1]; ++p) {
+          const int x = touched[p];
+          const std::size_t node = x >= 0 ? static_cast<std::size_t>(x)
+                                          : n_ifaces + static_cast<std::size_t>(~x);
+          if (stamp[node] == grp) continue;
+          stamp[node] = grp;
+          visit(node, ti);
         }
-      });
-
-  std::unordered_map<std::uint64_t, int> link_index;  // (ir, iface) -> link id
-  for (const ShardLinks& sh : link_shards) {
-    for (const ShardLinks::PLink& pl : sh.links) {
-      auto [it, inserted] = link_index.emplace(link_key(pl.ir, pl.iface),
-                                               static_cast<int>(g.links_.size()));
-      if (inserted) {
-        Link l;
-        l.id = it->second;
-        l.ir = pl.ir;
-        l.iface = pl.iface;
-        g.links_.push_back(std::move(l));
-        g.irs_[static_cast<std::size_t>(pl.ir)].out_links.push_back(it->second);
-        g.ifaces_[static_cast<std::size_t>(pl.iface)].in_links.push_back(it->second);
       }
-      Link& l = g.links_[static_cast<std::size_t>(it->second)];
-      if (static_cast<std::uint8_t>(pl.label) < static_cast<std::uint8_t>(l.label))
-        l.label = pl.label;
-      for (netbase::Asn o : pl.origin_set) set_insert(l.origin_set, o);
-      for (netbase::Asn d : pl.dest_asns) set_insert(l.dest_asns, d);
-      l.prev_ifaces.insert(pl.prev_ifaces.begin(), pl.prev_ifaces.end());
-    }
-    for (const auto& [fid, dests] : sh.iface_dest) {
-      Interface& f = g.ifaces_[static_cast<std::size_t>(fid)];
-      for (netbase::Asn d : dests) set_insert(f.dest_asns, d);
+    };
+    std::vector<std::size_t> node_off(n_nodes + 1, 0);
+    walk([&](std::size_t node, std::uint32_t) { ++node_off[node + 1]; });
+    for (std::size_t n = 0; n < n_nodes; ++n) node_off[n + 1] += node_off[n];
+    std::vector<std::uint32_t> first(node_off[n_nodes]);
+    std::vector<std::size_t> fill(node_off.begin(), node_off.end() - 1);
+    walk([&](std::size_t node, std::uint32_t ti) { first[fill[node]++] = ti; });
+    touched = {};  // the largest temporary: not kept while the sets grow
+    for (std::size_t n = 0; n < n_nodes; ++n) {
+      const auto lo = first.begin() + static_cast<std::ptrdiff_t>(node_off[n]);
+      const auto hi = first.begin() + static_cast<std::ptrdiff_t>(node_off[n + 1]);
+      std::sort(lo, hi);
+      auto& dests = n < n_ifaces ? g.ifaces_[n].dest_asns
+                                 : g.links_[n - n_ifaces].dest_asns;
+      dests.reserve(static_cast<std::size_t>(hi - lo));
+      for (auto it = lo; it != hi; ++it)
+        dests.push_back(group_asn[static_cast<std::size_t>(trace_group[*it])]);
     }
   }
 
@@ -257,6 +260,9 @@ Graph Graph::build(const std::vector<tracedata::Traceroute>& corpus,
   }
 
   // ---- IR aggregates ----------------------------------------------------
+  // An IR's destination set folds its members' sets in member order,
+  // deduplicated by a per-AS stamp of the last IR that took it.
+  std::unordered_map<netbase::Asn, int> ir_took;
   for (auto& ir : g.irs_) {
     for (int fid : ir.ifaces) {
       const Interface& f = g.ifaces_[static_cast<std::size_t>(fid)];
@@ -264,7 +270,12 @@ Graph Graph::build(const std::vector<tracedata::Traceroute>& corpus,
         set_insert(ir.origin_set, f.origin.asn);
         ++ir.origin_votes[f.origin.asn];
       }
-      for (netbase::Asn d : f.dest_asns) set_insert(ir.dest_asns, d);
+      for (const netbase::Asn d : f.dest_asns) {
+        auto [it, fresh] = ir_took.try_emplace(d, ir.id);
+        if (!fresh && it->second == ir.id) continue;
+        it->second = ir.id;
+        ir.dest_asns.push_back(d);
+      }
     }
     ir.last_hop = ir.out_links.empty();
   }

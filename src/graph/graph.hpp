@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "asrel/relstore.hpp"
@@ -59,8 +58,8 @@ struct Link {
   std::vector<netbase::Asn> origin_set;  ///< L(IRi, j), §4.3
   std::vector<netbase::Asn> dest_asns;   ///< destinations crossing this link
   /// §6.2 votes: the source IR's interfaces seen immediately prior to
-  /// `iface` on this link.
-  std::unordered_set<int> prev_ifaces;
+  /// `iface` on this link, as ascending interface ids without repeats.
+  std::vector<int> prev_ifaces;
 };
 
 struct IR {
@@ -93,11 +92,11 @@ class Graph {
   /// Builds the annotated IR graph. `rels` feeds the §4.4 reallocated-
   /// prefix correction (customer-cone sizes); pass a finalized store.
   ///
-  /// `threads` bounds the executors used for the two corpus passes
-  /// (<= 0 means hardware concurrency). The corpus is sharded and the
-  /// per-shard partial graphs merged in shard order, which reproduces
-  /// the serial first-seen interning order exactly: the result is
-  /// identical — same ids, same set orders — for every thread count.
+  /// Ids and AS-set orders follow first sight in corpus order. The
+  /// build runs on the calling thread in time linear in the corpus (plus
+  /// a sort of each node's destinations); `threads` is accepted so
+  /// callers can pass one thread count to every stage, and does not
+  /// change the result.
   static Graph build(const std::vector<tracedata::Traceroute>& corpus,
                      const tracedata::AliasSets& aliases, const bgp::Ip2AS& ip2as,
                      const asrel::RelStore& rels, int threads = 1);

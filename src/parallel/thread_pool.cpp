@@ -8,11 +8,20 @@
 
 #if defined(__linux__)
 #include <pthread.h>
+#include <sched.h>
 #endif
 
 namespace parallel {
 
 unsigned hardware_threads() noexcept {
+#if defined(__linux__)
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof mask, &mask) == 0) {
+    const int pinned = CPU_COUNT(&mask);
+    if (pinned > 0) return static_cast<unsigned>(pinned);
+  }
+#endif
   const unsigned n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : n;
 }

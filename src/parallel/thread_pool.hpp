@@ -1,18 +1,18 @@
 // parallel/thread_pool.hpp — the parallel-execution substrate.
 //
 // One process-wide pool of persistent worker threads drives every
-// parallel phase of the pipeline (ingest, graph construction, the
-// refinement sweeps). Callers never talk to the pool directly; they use
+// parallel phase of the pipeline (ingest, the refinement sweeps, the
+// audit scans). Callers never talk to the pool directly; they use
 // the range helpers below, which split an index range into contiguous
 // shards — one per executor — and block until every shard finishes.
 //
 // Determinism contract: shard *boundaries* depend on the thread count,
 // so any algorithm built on these helpers must merge shard results in
-// shard order and be insensitive to where the cuts fall (first-seen
-// interning merged shard-by-shard reproduces the serial order exactly;
-// see graph::Graph::build). `threads <= 1` runs inline on the calling
-// thread without touching the pool, so the serial path stays free of
-// any synchronization.
+// shard order and be insensitive to where the cuts fall (per-shard
+// parses concatenated in shard order reproduce the serial parse
+// exactly; see tracedata/line_shards.hpp). `threads <= 1` runs inline
+// on the calling thread without touching the pool, so the serial path
+// stays free of any synchronization.
 //
 // Exceptions thrown inside a shard are captured and rethrown on the
 // calling thread after the job drains.
@@ -32,7 +32,10 @@
 
 namespace parallel {
 
-/// Detected hardware concurrency, never less than 1.
+/// CPUs this process may run on: the size of its CPU affinity mask
+/// where the platform reports one (so a run under `taskset -c 0` sizes
+/// itself to 1), else std::thread::hardware_concurrency(). Never less
+/// than 1.
 unsigned hardware_threads() noexcept;
 
 /// Maps a user-facing thread-count knob to an executor count:

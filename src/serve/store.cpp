@@ -89,12 +89,6 @@ const SnapshotIface* AnnotationStore::find(
   return idx ? &snap_.interfaces[*idx] : nullptr;
 }
 
-const SnapshotIface* AnnotationStore::longest_match(
-    const netbase::IPAddr& addr) const noexcept {
-  const std::uint32_t* idx = trie_.lookup_value(addr);
-  return idx ? &snap_.interfaces[*idx] : nullptr;
-}
-
 std::vector<const SnapshotIface*> AnnotationStore::find_batch(
     const std::vector<netbase::IPAddr>& addrs) const {
   std::vector<const SnapshotIface*> out(addrs.size());

@@ -90,11 +90,6 @@ class AnnotationStore {
   /// Exact-interface lookup; nullptr if the address was never observed.
   const SnapshotIface* find(const netbase::IPAddr& addr) const noexcept;
 
-  /// Longest-prefix lookup: the most specific stored entry covering
-  /// `addr`. With host-prefix entries this equals find(); kept separate
-  /// so future aggregate entries (e.g. per-prefix rollups) slot in.
-  const SnapshotIface* longest_match(const netbase::IPAddr& addr) const noexcept;
-
   /// Batched exact lookup: out[i] answers addrs[i] (nullptr on miss).
   std::vector<const SnapshotIface*> find_batch(
       const std::vector<netbase::IPAddr>& addrs) const;

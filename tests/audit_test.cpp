@@ -113,6 +113,52 @@ TEST(Audit, DuplicatedLinkOriginSetIsDetected) {
   EXPECT_TRUE(has_check(vs, "link.origin-set-dedup")) << checks_of(vs);
 }
 
+// Sets above the auditor's pairwise-scan size are checked through a
+// sorted copy; duplicates and missing members must still show, and a
+// clean large set must not.
+TEST(Audit, LargeDestinationSetFaultsAreDetected) {
+  const Pipeline p;
+  std::vector<netbase::Asn> many;
+  for (netbase::Asn a = 65100; a < 65120; ++a) many.push_back(a);
+  auto with_dup = many;
+  with_dup.push_back(many.front());  // first and last entries collide
+
+  core::Result r = p.run();
+  graph::Interface& f = r.graph.interfaces()[0];
+  graph::IR& ir = r.graph.irs()[static_cast<std::size_t>(f.ir)];
+  for (int fid : ir.ifaces)
+    r.graph.interfaces()[static_cast<std::size_t>(fid)].dest_asns.clear();
+  f.dest_asns = many;
+  ir.dest_asns = many;
+  for (const auto& l : r.graph.links())
+    ASSERT_LE(l.dest_asns.size(), 16u);  // the fixture itself stays small
+  r.graph.links()[0].dest_asns = many;
+  auto vs = audit::audit_graph(r.graph);
+  for (const char* check : {"iface.dest-set-dedup", "ir.dest-set-dedup",
+                            "link.dest-set-dedup", "ir.dest-set-consistency"})
+    EXPECT_FALSE(has_check(vs, check)) << check << ": " << checks_of(vs);
+
+  f.dest_asns = with_dup;
+  ir.dest_asns = with_dup;
+  r.graph.links()[0].dest_asns = with_dup;
+  vs = audit::audit_graph(r.graph);
+  for (const char* check : {"iface.dest-set-dedup", "ir.dest-set-dedup",
+                            "link.dest-set-dedup"})
+    EXPECT_TRUE(has_check(vs, check)) << check << ": " << checks_of(vs);
+
+  // A member destination the IR's large set lacks.
+  f.dest_asns = many;
+  ir.dest_asns.assign(many.begin() + 1, many.end());
+  ir.dest_asns.push_back(65200);
+  vs = audit::audit_graph(r.graph);
+  EXPECT_TRUE(has_check(vs, "ir.dest-set-consistency")) << checks_of(vs);
+  EXPECT_EQ(std::count_if(vs.begin(), vs.end(),
+                          [](const Violation& v) {
+                            return v.check == "ir.dest-set-consistency";
+                          }),
+            1);
+}
+
 TEST(Audit, ForeignLinkOriginIsDetected) {
   const Pipeline p;
   core::Result r = p.run();

@@ -50,6 +50,22 @@ check_nonempty(${OUT}/itdk.nodes)
 check_nonempty(${OUT}/itdk.nodes.as)
 check_nonempty(${OUT}/map.snap)
 
+# ---- golden digests: the map of this pinned bundle, byte for byte -----
+# Recorded with the shard-merging graph builder that the flat build
+# replaced; any change to ids, set orders or tie-breaks shows here. A
+# change to gen_testdata's output changes them too.
+foreach(pair
+    "annotations.tsv;3e907811d2cf6add230077cc17097a61255ba8bb80fb78d24ea1cee2357b3eca"
+    "aslinks.tsv;7b3f35b8e660f83786e2b40ea4eeec8eda36a4ec18501d587316121b64ff003b"
+    "map.snap;5380058b1890e57200286cf6a67f578295f07a7ff7f8148187def17bd6a601fe")
+  list(GET pair 0 name)
+  list(GET pair 1 want)
+  file(SHA256 ${OUT}/${name} got)
+  if(NOT got STREQUAL want)
+    message(FATAL_ERROR "${name} SHA-256 ${got} differs from the golden ${want}")
+  endif()
+endforeach()
+
 # ---- serve: every IFACE reply must equal its annotations.tsv row ------
 file(STRINGS ${OUT}/annotations.tsv tsv_lines)
 set(queries "")

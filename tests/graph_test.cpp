@@ -3,6 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "eval/experiment.hpp"
 #include "graph/graph.hpp"
 #include "test_util.hpp"
 
@@ -408,4 +415,162 @@ TEST(GraphDestSets, UnannouncedDestinationContributesNothing) {
       "a", "100.99.0.9", {{1, ip(1, 1), 'T'}, {2, ip(2, 1), 'T'}})};
   auto g = Graph::build(corpus, {}, plan_ip2as(), testutil::make_rels({}));
   for (const auto& f : g.interfaces()) EXPECT_TRUE(f.dest_asns.empty());
+}
+
+// ---------------------------------------------------------------------
+// First-seen order of destination AS sets (§4.4)
+// ---------------------------------------------------------------------
+
+TEST(GraphDestSets, FirstSeenOrderUnderInterleavedDestinations) {
+  // Destinations interleave across traces: 5, 4, 5, 6, 4. Every node the
+  // traces cross keeps the order of first sight, 5 4 6, not sorted order
+  // and not grouped by destination.
+  tracedata::AliasSets aliases;
+  aliases.add({IPAddr::must_parse(ip(1, 1)), IPAddr::must_parse(ip(1, 2))});
+  auto corpus = std::vector{
+      testutil::tr("a", ip(5, 9), {{1, ip(1, 1), 'T'}, {2, ip(2, 1), 'T'}}),
+      testutil::tr("b", ip(4, 9), {{1, ip(1, 2), 'T'}, {2, ip(2, 1), 'T'}}),
+      testutil::tr("c", ip(5, 8), {{1, ip(1, 1), 'T'}, {2, ip(2, 1), 'T'}}),
+      testutil::tr("d", ip(6, 9), {{1, ip(1, 1), 'T'}, {2, ip(2, 1), 'T'}}),
+      testutil::tr("e", ip(4, 8), {{1, ip(1, 2), 'T'}, {2, ip(2, 1), 'T'}}),
+  };
+  auto g = Graph::build(corpus, aliases, plan_ip2as(), testutil::make_rels({}));
+  const auto& f11 = g.interfaces()[static_cast<std::size_t>(
+      g.iface_by_addr(IPAddr::must_parse(ip(1, 1))))];
+  const auto& f12 = g.interfaces()[static_cast<std::size_t>(
+      g.iface_by_addr(IPAddr::must_parse(ip(1, 2))))];
+  const auto& f21 = g.interfaces()[static_cast<std::size_t>(
+      g.iface_by_addr(IPAddr::must_parse(ip(2, 1))))];
+  EXPECT_EQ(f11.dest_asns, (std::vector<netbase::Asn>{5, 6}));
+  EXPECT_EQ(f12.dest_asns, (std::vector<netbase::Asn>{4}));
+  EXPECT_EQ(f21.dest_asns, (std::vector<netbase::Asn>{5, 4, 6}));
+  // The IR folds its members' sets in member order: f11's, then f12's.
+  EXPECT_EQ(g.irs()[static_cast<std::size_t>(f11.ir)].dest_asns,
+            (std::vector<netbase::Asn>{5, 6, 4}));
+  const auto* l = find_link(g, ip(1, 1), ip(2, 1));
+  ASSERT_NE(l, nullptr);
+  EXPECT_EQ(l->dest_asns, (std::vector<netbase::Asn>{5, 4, 6}));
+  EXPECT_EQ(l->prev_ifaces, (std::vector<int>{f11.id, f12.id}));
+}
+
+TEST(GraphDestSets, FinalEchoHopSkipOnlyAtTheLastPublicHop) {
+  // The echo skip applies to the last non-private hop of each trace
+  // only: the same interface elsewhere mid-path, or a non-echo reply at
+  // the end, still records the destination.
+  auto corpus = std::vector{
+      // Ends in an Echo Reply from ip(3,1): ip(3,1) gets nothing here.
+      testutil::tr("a", ip(3, 1), {{1, ip(1, 1), 'T'}, {2, ip(3, 1), 'E'}}),
+      // ip(3,1) mid-path toward AS4: records 4.
+      testutil::tr("b", ip(4, 9), {{1, ip(3, 1), 'T'}, {2, ip(4, 1), 'T'}}),
+      // An Echo Reply followed by a private hop is still the last public
+      // hop, so ip(2,1) records nothing from this trace.
+      testutil::tr("c", ip(6, 9), {{1, ip(1, 1), 'T'}, {2, ip(2, 1), 'E'},
+                                   {3, "10.0.0.1", 'T'}}),
+      // A Time Exceeded last hop records its destination.
+      testutil::tr("d", ip(5, 9), {{1, ip(1, 1), 'T'}, {2, ip(2, 1), 'T'}}),
+  };
+  auto g = Graph::build(corpus, {}, plan_ip2as(), testutil::make_rels({}));
+  auto dests = [&](const std::string& a) {
+    const int fid = g.iface_by_addr(IPAddr::must_parse(a));
+    return g.interfaces()[static_cast<std::size_t>(fid)].dest_asns;
+  };
+  EXPECT_EQ(dests(ip(1, 1)), (std::vector<netbase::Asn>{3, 6, 5}));
+  EXPECT_EQ(dests(ip(3, 1)), (std::vector<netbase::Asn>{4}));
+  EXPECT_EQ(dests(ip(2, 1)), (std::vector<netbase::Asn>{5}));
+  EXPECT_EQ(dests(ip(4, 1)), (std::vector<netbase::Asn>{4}));
+  // Links still carry every destination crossing them.
+  const auto* l = find_link(g, ip(1, 1), ip(2, 1));
+  ASSERT_NE(l, nullptr);
+  EXPECT_EQ(l->dest_asns, (std::vector<netbase::Asn>{6, 5}));
+}
+
+// ---------------------------------------------------------------------
+// Golden digest: the whole graph of a pinned simulator scenario
+// ---------------------------------------------------------------------
+
+namespace {
+
+/// FNV-1a over 64-bit words.
+struct Digest {
+  std::uint64_t h = 14695981039346656037ull;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  }
+  void add(const std::string& s) {
+    add(s.size());
+    for (unsigned char c : s) add(c);
+  }
+  template <typename T>
+  void add(const std::vector<T>& v) {
+    add(v.size());
+    for (const T& x : v) add(static_cast<std::uint64_t>(x));
+  }
+};
+
+std::uint64_t graph_digest(const Graph& g) {
+  Digest d;
+  for (const auto& f : g.interfaces()) {
+    d.add(static_cast<std::uint64_t>(f.id));
+    d.add(f.addr.to_string());
+    d.add(f.origin.asn);
+    d.add(static_cast<std::uint64_t>(f.origin.kind));
+    d.add(f.origin.prefix.to_string());
+    d.add(static_cast<std::uint64_t>(f.ir));
+    d.add(f.annotation);
+    d.add(static_cast<std::uint64_t>(f.seen_non_echo) |
+          static_cast<std::uint64_t>(f.seen_mid_path) << 1);
+    d.add(f.dest_asns);
+    d.add(f.in_links);
+  }
+  for (const auto& l : g.links()) {
+    d.add(static_cast<std::uint64_t>(l.id));
+    d.add(static_cast<std::uint64_t>(l.ir));
+    d.add(static_cast<std::uint64_t>(l.iface));
+    d.add(static_cast<std::uint64_t>(l.label));
+    d.add(l.origin_set);
+    d.add(l.dest_asns);
+    // A set: folded in ascending order.
+    std::vector<int> prev(l.prev_ifaces.begin(), l.prev_ifaces.end());
+    std::sort(prev.begin(), prev.end());
+    d.add(prev);
+  }
+  for (const auto& ir : g.irs()) {
+    d.add(static_cast<std::uint64_t>(ir.id));
+    d.add(ir.ifaces);
+    d.add(ir.out_links);
+    d.add(ir.origin_set);
+    std::vector<std::pair<netbase::Asn, int>> votes(ir.origin_votes.begin(),
+                                                    ir.origin_votes.end());
+    std::sort(votes.begin(), votes.end());
+    d.add(votes.size());
+    for (const auto& [asn, n] : votes) {
+      d.add(asn);
+      d.add(static_cast<std::uint64_t>(n));
+    }
+    d.add(ir.dest_asns);
+    d.add(ir.annotation);
+    d.add(static_cast<std::uint64_t>(ir.last_hop));
+  }
+  return d.h;
+}
+
+}  // namespace
+
+TEST(GraphGolden, PinnedScenarioDigest) {
+  // Every id, label and AS-set order of a pinned dual-stack scenario with
+  // MIDAR-like aliases, folded into one value. The value was recorded
+  // with the shard-merging builder this flat build replaced, so it pins
+  // byte identity of the graph contract across builder rewrites. A
+  // change to the simulator's output changes the value too.
+  topo::SimParams params = topo::small_params();
+  params.dual_stack = true;
+  const eval::Scenario s = eval::make_scenario(params, 12, true, 42);
+  const tracedata::AliasSets aliases = eval::midar_aliases(s);
+  const Graph g = Graph::build(s.corpus, aliases, s.ip2as, s.rels);
+  for (const auto& f : g.interfaces()) ASSERT_EQ(g.iface_by_addr(f.addr), f.id);
+  EXPECT_EQ(graph_digest(g), 0x97d6e1dc0269fe00ull)
+      << "digest=0x" << std::hex << graph_digest(g);
 }

@@ -12,6 +12,10 @@
 #include <stdexcept>
 #include <vector>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include "eval/experiment.hpp"
 #include "parallel/thread_pool.hpp"
 #include "serve/snapshot.hpp"
@@ -66,6 +70,25 @@ TEST(ThreadPool, ResolveThreads) {
   EXPECT_EQ(parallel::resolve_threads(-3), parallel::hardware_threads());
   EXPECT_EQ(parallel::resolve_threads(5), 5u);
 }
+
+#if defined(__linux__)
+TEST(ThreadPool, HardwareThreadsCountsTheAffinityMask) {
+  // Pinned to one CPU, the "auto" thread count must be 1, however many
+  // CPUs the machine has.
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof saved, &saved), 0);
+  int first = 0;
+  while (!CPU_ISSET(first, &saved)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
+  const unsigned pinned = parallel::hardware_threads();
+  ASSERT_EQ(sched_setaffinity(0, sizeof saved, &saved), 0);
+  EXPECT_EQ(pinned, 1u);
+  EXPECT_EQ(parallel::hardware_threads(), static_cast<unsigned>(CPU_COUNT(&saved)));
+}
+#endif
 
 // ----------------------------------------------------------------------
 // Pipeline stages

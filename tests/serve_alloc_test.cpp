@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <string>
@@ -30,21 +32,74 @@ std::atomic<bool> g_counting{false};
 
 }  // namespace
 
-// Counting wrappers. Only the allocation side is counted: frees of
-// memory acquired before counting started are legal in steady state.
-void* operator new(std::size_t size) {
+// Counting wrappers for every replaceable allocation form: plain,
+// array, aligned and nothrow. Only the allocation side is counted: frees
+// of memory acquired before counting started are legal in steady state.
+// Each form's delete is replaced too, and all of them release through
+// one function, so every pointer a replaced new returns goes back
+// through its own matching delete.
+namespace {
+
+void* counted_alloc(std::size_t size, std::size_t align) noexcept {
   if (g_counting.load(std::memory_order_relaxed))
     g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
+  if (size == 0) size = 1;
+  if (align <= alignof(std::max_align_t)) return std::malloc(size);
+  // aligned_alloc wants a size that is a multiple of the alignment.
+  return std::aligned_alloc(align, (size + align - 1) / align * align);
+}
+
+void* counted_or_throw(std::size_t size, std::size_t align) {
+  if (void* p = counted_alloc(size, align)) return p;
   throw std::bad_alloc();
 }
 
-void* operator new[](std::size_t size) { return ::operator new(size); }
+void counted_free(void* p) noexcept { std::free(p); }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+constexpr std::size_t kPlain = alignof(std::max_align_t);
+std::size_t align_of(std::align_val_t al) { return static_cast<std::size_t>(al); }
+
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_or_throw(n, kPlain); }
+void* operator new[](std::size_t n) { return counted_or_throw(n, kPlain); }
+void* operator new(std::size_t n, std::align_val_t al) {
+  return counted_or_throw(n, align_of(al));
+}
+void* operator new[](std::size_t n, std::align_val_t al) {
+  return counted_or_throw(n, align_of(al));
+}
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_alloc(n, kPlain);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_alloc(n, kPlain);
+}
+void* operator new(std::size_t n, std::align_val_t al, const std::nothrow_t&) noexcept {
+  return counted_alloc(n, align_of(al));
+}
+void* operator new[](std::size_t n, std::align_val_t al, const std::nothrow_t&) noexcept {
+  return counted_alloc(n, align_of(al));
+}
+
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  counted_free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { counted_free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { counted_free(p); }
+void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
+void operator delete[](void* p, std::align_val_t, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
 
 namespace {
 
@@ -96,6 +151,34 @@ class ServeAllocTest : public ::testing::Test {
   std::unique_ptr<serve::StoreHandle> handle_;
   std::unique_ptr<serve::Protocol> protocol_;
 };
+
+// The gate must see every allocation form, or an aligned or nothrow
+// new on the reply path would escape it.
+TEST(AllocCounter, CountsEveryReplaceableForm) {
+  struct alignas(64) Wide {
+    char c;
+  };
+  static void* volatile sink;
+  AllocGuard guard;
+  sink = ::operator new(8);
+  ::operator delete(sink);
+  sink = ::operator new[](8);
+  ::operator delete[](sink);
+  sink = ::operator new(8, std::nothrow);
+  ::operator delete(sink, std::nothrow);
+  sink = ::operator new[](8, std::nothrow);
+  ::operator delete[](sink, std::nothrow);
+  sink = ::operator new(sizeof(Wide), std::align_val_t{alignof(Wide)});
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(sink) % alignof(Wide), 0u);
+  ::operator delete(sink, std::align_val_t{alignof(Wide)});
+  sink = ::operator new[](sizeof(Wide), std::align_val_t{alignof(Wide)});
+  ::operator delete[](sink, std::align_val_t{alignof(Wide)});
+  sink = ::operator new(sizeof(Wide), std::align_val_t{alignof(Wide)}, std::nothrow);
+  ::operator delete(sink, std::align_val_t{alignof(Wide)}, std::nothrow);
+  sink = ::operator new[](sizeof(Wide), std::align_val_t{alignof(Wide)}, std::nothrow);
+  ::operator delete[](sink, std::align_val_t{alignof(Wide)}, std::nothrow);
+  EXPECT_EQ(guard.count(), 8u);
+}
 
 TEST_F(ServeAllocTest, TextIfacePathIsAllocationFreeWhenWarm) {
   std::string out;

@@ -172,8 +172,6 @@ TEST(Store, AnswersMatchResult) {
     EXPECT_EQ(rec->inf.conn_as, inf.conn_as);
     EXPECT_EQ(rec->inf.ixp, inf.ixp);
     EXPECT_EQ(rec->inf.flags(), inf.flags());
-    // Host-prefix entries: longest match agrees with exact.
-    EXPECT_EQ(store.longest_match(addr), rec);
   }
   EXPECT_EQ(store.find(netbase::IPAddr::must_parse("255.255.255.254")), nullptr);
 }
